@@ -300,7 +300,7 @@ pub fn compose_examples(
 mod tests {
     use super::*;
     use cgra_fabric::mem::DATA_WORDS;
-    use cgra_sim::{ArraySim, EpochRunner};
+    use cgra_sim::{ArraySim, EpochRunner, VerifyMode};
 
     fn snapshot(sim: &ArraySim, tile: TileId) -> Vec<i64> {
         (0..DATA_WORDS)
@@ -367,7 +367,9 @@ mod tests {
         // Tenant 1 presents tenant 0's certificate: footprint
         // re-verification must refuse it (V133), not run it.
         tenants[1].cert = tenants[0].cert.clone();
-        let mut runner = EpochRunner::new(ArraySim::new(comp.mesh), cost);
+        let mut sim = ArraySim::new(comp.mesh);
+        sim.verify = VerifyMode::Strict;
+        let mut runner = EpochRunner::new(sim, cost);
         let err = runner.run_composed_schedule(&tenants).unwrap_err();
         match err {
             cgra_sim::SimError::Verify(diags) => assert!(

@@ -1,8 +1,9 @@
 //! The event-driven, certificate-gated simulator core.
 //!
-//! [`EpochRunner::run_schedule`] steps every tile of the array every
-//! cycle — sound, but wasteful when the static analysis can prove most
-//! of the array inactive. This module consumes the proofs instead:
+//! [`EpochRunner::run_schedule`] steps, cycle by cycle, every tile that
+//! is not yet idle, and only learns that a tile has gone idle by
+//! stepping it — sound, but wasteful when the static analysis can prove
+//! most of the array inactive. This module consumes the proofs instead:
 //!
 //! 1. `cgra-verify`'s activity analysis derives an
 //!    [`ActivityCertificate`] for the whole schedule: per-tile activity

@@ -576,6 +576,7 @@ mod tests {
         // Forge the certificate: claim one tile fewer than the schedule uses.
         b.cert.tiles.pop();
         let mut sim = ArraySim::new(mesh);
+        sim.verify = VerifyMode::Strict;
         seed(&mut sim, 0, 7);
         seed(&mut sim, 2, 40);
         let mut runner = EpochRunner::new(sim, CostModel::with_link_cost(100.0));
@@ -600,6 +601,7 @@ mod tests {
         // beta claims tile 1 too: its copy runs 1 -> 2.
         let b = copy_tenant(mesh, "beta", 1, 2, 4);
         let mut sim = ArraySim::new(mesh);
+        sim.verify = VerifyMode::Strict;
         seed(&mut sim, 0, 7);
         seed(&mut sim, 1, 40);
         let mut runner = EpochRunner::new(sim, CostModel::with_link_cost(100.0));

@@ -136,7 +136,7 @@ pub struct ArraySim {
     /// Static-verification policy for program loads and epoch switches.
     pub verify: VerifyMode,
     /// Fine-grained event telemetry; `None` (the default) costs one
-    /// branch per tile per cycle and nothing else.
+    /// branch per stepped tile per cycle and nothing else.
     telemetry: Option<TelemetryState>,
 }
 
@@ -268,64 +268,77 @@ impl ArraySim {
         self.states.iter().all(|s| s.halted) && self.stall.iter().all(|&s| s == 0)
     }
 
-    /// Advances the whole array by one cycle.
-    pub fn step_cycle(&mut self) -> Result<(), SimError> {
-        let cyc = self.now;
-        self.now += 1;
-        let mut writes: Vec<(TileId, TileId, usize, Word)> = Vec::new();
-        for t in 0..self.tiles.len() {
-            let state = if self.stall[t] > 0 {
-                self.stall[t] -= 1;
-                self.stats[t].reconfig_cycles += 1;
-                Some(SegState::Stall)
-            } else if self.states[t].halted {
-                None
-            } else {
-                let effect = step(&mut self.tiles[t], &mut self.states[t])
-                    .map_err(|err| SimError::Exec { tile: t, err })?;
-                self.stats[t].busy_cycles += 1;
-                if let StepEffect::RemoteWrite { addr, value } = effect {
-                    let dir = self
-                        .links
-                        .get(t)
-                        .ok_or(SimError::UnroutedWrite { tile: t })?;
-                    let dst = self
-                        .mesh
-                        .neighbour(t, dir)
-                        .ok_or(FabricError::NotNeighbours { from: t, to: t })?;
-                    self.stats[t].words_sent += 1;
-                    writes.push((t, dst, addr, value));
-                }
-                Some(SegState::Busy)
-            };
-            if let Some(ts) = self.telemetry.as_mut() {
-                ts.coalesce.observe(t, state, cyc, &mut *ts.sink);
-            }
-        }
-        // Remote writes land at the end of the cycle.
-        for (src, dst, addr, value) in writes {
-            self.tiles[dst].dmem.poke(addr, value)?;
-            self.stats[dst].words_received += 1;
-            if let Some(ts) = self.telemetry.as_mut() {
-                ts.sink.record(&Event::LinkTransfer {
-                    from: src,
-                    to: dst,
-                    at: self.now,
-                    words: 1,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Runs until the array quiesces, up to `budget` cycles.
+    ///
+    /// The first cycle visits every tile. Each later cycle visits only
+    /// the tiles that were stalled or busy on the cycle before, in
+    /// ascending order: nothing re-arms a halted tile while the array
+    /// runs (remote writes only poke data memory), so a tile that has
+    /// gone idle stays idle until this call returns. It is observed once
+    /// more while idle, which closes its open segment on the same cycle
+    /// a full scan would, and then drops out of the list.
     pub fn run_until_quiesced(&mut self, budget: u64) -> Result<u64, SimError> {
         let start = self.now;
-        while !self.quiesced() {
+        let mut live: Vec<TileId> = (0..self.tiles.len()).collect();
+        let mut writes: Vec<(TileId, TileId, usize, Word)> = Vec::new();
+        while live
+            .iter()
+            .any(|&t| self.stall[t] > 0 || !self.states[t].halted)
+        {
             if self.now - start >= budget {
                 return Err(SimError::Deadline { budget });
             }
-            self.step_cycle()?;
+            let cyc = self.now;
+            self.now += 1;
+            let mut kept = 0;
+            for i in 0..live.len() {
+                let t = live[i];
+                let state = if self.stall[t] > 0 {
+                    self.stall[t] -= 1;
+                    self.stats[t].reconfig_cycles += 1;
+                    Some(SegState::Stall)
+                } else if self.states[t].halted {
+                    None
+                } else {
+                    let effect = step(&mut self.tiles[t], &mut self.states[t])
+                        .map_err(|err| SimError::Exec { tile: t, err })?;
+                    self.stats[t].busy_cycles += 1;
+                    if let StepEffect::RemoteWrite { addr, value } = effect {
+                        let dir = self
+                            .links
+                            .get(t)
+                            .ok_or(SimError::UnroutedWrite { tile: t })?;
+                        let dst = self
+                            .mesh
+                            .neighbour(t, dir)
+                            .ok_or(FabricError::NotNeighbours { from: t, to: t })?;
+                        self.stats[t].words_sent += 1;
+                        writes.push((t, dst, addr, value));
+                    }
+                    Some(SegState::Busy)
+                };
+                if let Some(ts) = self.telemetry.as_mut() {
+                    ts.coalesce.observe(t, state, cyc, &mut *ts.sink);
+                }
+                if state.is_some() {
+                    live[kept] = t;
+                    kept += 1;
+                }
+            }
+            live.truncate(kept);
+            // Remote writes land at the end of the cycle.
+            for (src, dst, addr, value) in writes.drain(..) {
+                self.tiles[dst].dmem.poke(addr, value)?;
+                self.stats[dst].words_received += 1;
+                if let Some(ts) = self.telemetry.as_mut() {
+                    ts.sink.record(&Event::LinkTransfer {
+                        from: src,
+                        to: dst,
+                        at: self.now,
+                        words: 1,
+                    });
+                }
+            }
         }
         Ok(self.now - start)
     }
@@ -348,6 +361,15 @@ mod tests {
         p.adar(0, 1);
         p.adar(1, 1);
         p.djnz(d(500), l);
+        p.halt();
+        encode_program(&p.build().unwrap())
+    }
+
+    fn count_prog(n: i32) -> Vec<u128> {
+        let mut p = ProgramBuilder::new();
+        p.ldi(d(0), n);
+        let l = p.here_label();
+        p.djnz(d(0), l);
         p.halt();
         encode_program(&p.build().unwrap())
     }
@@ -443,22 +465,117 @@ mod tests {
         let mesh = Mesh::new(1, 2);
         let mut sim = ArraySim::new(mesh);
         // Both tiles count to 100.
-        let count = |_: u16| {
-            let mut p = ProgramBuilder::new();
-            p.ldi(d(0), 100);
-            let l = p.here_label();
-            p.djnz(d(0), l);
-            p.halt();
-            encode_program(&p.build().unwrap())
-        };
-        sim.load_program(0, &count(0)).unwrap();
-        sim.load_program(1, &count(1)).unwrap();
+        sim.load_program(0, &count_prog(100)).unwrap();
+        sim.load_program(1, &count_prog(100)).unwrap();
         sim.stall_tile(0, 50);
         sim.run_until_quiesced(10_000).unwrap();
         assert_eq!(sim.stats[0].reconfig_cycles, 50);
         // Tile 1 overlapped the reconfiguration: same busy cycles, no stall.
         assert_eq!(sim.stats[1].reconfig_cycles, 0);
         assert_eq!(sim.stats[0].busy_cycles, sim.stats[1].busy_cycles);
+    }
+
+    /// The segments recorded for `tile`, as `(state, start, end)`.
+    fn segments(evs: &[Event], tile: TileId) -> Vec<(SegState, u64, u64)> {
+        evs.iter()
+            .filter_map(|e| match e {
+                Event::Segment {
+                    tile: t,
+                    state,
+                    start,
+                    end,
+                } if *t == tile => Some((*state, *start, *end)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn halted_tile_closes_its_segment_while_its_neighbour_runs_on() {
+        use cgra_telemetry::Recorder;
+        let mut sim = ArraySim::new(Mesh::new(1, 3));
+        sim.load_program(0, &count_prog(10)).unwrap();
+        sim.load_program(2, &count_prog(100)).unwrap();
+        let rec = Recorder::new();
+        sim.attach_sink(Box::new(rec.clone()));
+        let cycles = sim.run_until_quiesced(10_000).unwrap();
+        let short = sim.stats[0].busy_cycles;
+        assert!(short < cycles);
+        assert_eq!(sim.stats[2].busy_cycles, cycles);
+        // Tile 0's segment closed on the cycle after its halt, during
+        // the run; tile 2's stays open until the flush.
+        let before_flush = rec.len();
+        assert_eq!(segments(&rec.events(), 0), [(SegState::Busy, 0, short)]);
+        assert!(segments(&rec.events(), 2).is_empty());
+        sim.detach_sink();
+        let evs = rec.events();
+        assert_eq!(evs.len(), before_flush + 1);
+        assert_eq!(segments(&evs, 2), [(SegState::Busy, 0, cycles)]);
+        assert!(segments(&evs, 1).is_empty());
+    }
+
+    #[test]
+    fn patch_only_tile_is_only_stalled() {
+        use cgra_telemetry::Recorder;
+        let mut sim = ArraySim::new(Mesh::new(1, 2));
+        // Tile 1 is rewritten (data patch) but runs nothing.
+        sim.stall_tile(1, 30);
+        sim.load_program(0, &count_prog(5)).unwrap();
+        let rec = Recorder::new();
+        sim.attach_sink(Box::new(rec.clone()));
+        let cycles = sim.run_until_quiesced(10_000).unwrap();
+        assert_eq!(cycles, 30, "the stall alone keeps the array live");
+        sim.detach_sink();
+        let evs = rec.events();
+        let busy = sim.stats[0].busy_cycles;
+        assert_eq!(segments(&evs, 0), [(SegState::Busy, 0, busy)]);
+        assert_eq!(segments(&evs, 1), [(SegState::Stall, 0, 30)]);
+        assert_eq!(
+            sim.stats[1],
+            TileStats {
+                reconfig_cycles: 30,
+                ..TileStats::default()
+            }
+        );
+        assert!(sim.quiesced());
+    }
+
+    #[test]
+    fn segment_left_open_spans_two_runs() {
+        use cgra_telemetry::Recorder;
+        let mut sim = ArraySim::new(Mesh::new(1, 3));
+        sim.load_program(0, &count_prog(20)).unwrap();
+        sim.load_program(1, &count_prog(20)).unwrap();
+        let rec = Recorder::new();
+        sim.attach_sink(Box::new(rec.clone()));
+        let first = sim.run_until_quiesced(10_000).unwrap();
+        // No flush between the runs: both busy segments stay open.
+        assert!(rec.is_empty());
+        // Tile 0 restarts at once, so its run continues; tile 1 stays
+        // halted and its segment closes on the second run's first cycle;
+        // tile 2 starts fresh.
+        sim.load_program(0, &count_prog(20)).unwrap();
+        sim.load_program(2, &count_prog(5)).unwrap();
+        let second = sim.run_until_quiesced(10_000).unwrap();
+        assert_eq!(segments(&rec.events(), 1), [(SegState::Busy, 0, first)]);
+        sim.detach_sink();
+        let evs = rec.events();
+        let total = first + second;
+        assert_eq!(sim.now, total);
+        assert_eq!(segments(&evs, 0), [(SegState::Busy, 0, total)]);
+        assert_eq!(segments(&evs, 1), [(SegState::Busy, 0, first)]);
+        let short = sim.stats[2].busy_cycles;
+        assert_eq!(segments(&evs, 2), [(SegState::Busy, first, first + short)]);
+        // Event order: tile 1 closes first (second run, first cycle),
+        // then tile 2 (on halting), then tile 0 at the flush.
+        let order: Vec<TileId> = evs
+            .iter()
+            .filter_map(|e| match e {
+                Event::Segment { tile, .. } => Some(*tile),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, [1, 2, 0]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Whole-schedule activity & independence analysis (V12x codes).
 //!
-//! The per-cycle interpreter steps every tile every cycle, yet the
-//! verifier already knows — statically — which tiles can do work when
-//! and which tiles can never observe each other within an epoch. This
-//! module turns that knowledge into a machine-checkable
-//! [`ActivityCertificate`] the event-driven simulator core consumes:
+//! The per-cycle interpreter steps each tile one cycle at a time until
+//! it goes idle, yet the verifier already knows — statically — which
+//! tiles can do work when and which tiles can never observe each other
+//! within an epoch. This module turns that knowledge into a
+//! machine-checkable [`ActivityCertificate`] the event-driven simulator
+//! core consumes:
 //!
 //! * **Activity intervals** ([`Code::ActivityInterval`], V120). Every
 //!   tile reconfigured going into an epoch stalls behind the

@@ -59,6 +59,19 @@ impl WordSet {
         }
     }
 
+    /// Removes `addr` (mod 512).
+    fn remove(&mut self, addr: usize) {
+        let a = addr % DATA_WORDS;
+        self.0[a / 64] &= !(1 << (a % 64));
+    }
+
+    /// In-place difference: removes every word of `other`.
+    fn subtract(&mut self, other: &WordSet) {
+        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
+            *a &= !b;
+        }
+    }
+
     /// True when `addr` is in the set.
     pub fn contains(&self, addr: usize) -> bool {
         let a = addr % DATA_WORDS;
@@ -86,9 +99,19 @@ impl WordSet {
         self.0.iter().zip(other.0.iter()).any(|(a, b)| a & b != 0)
     }
 
-    /// Iterates the addresses in the set, ascending.
+    /// Iterates the addresses in the set, ascending. Visits only the
+    /// set bits, so the cost follows the set's size, not the 512 words.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..DATA_WORDS).filter(move |&a| self.contains(a))
+        self.0.iter().enumerate().flat_map(|(i, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    i * 64 + b
+                })
+            })
+        })
     }
 
     /// Number of words in the set.
@@ -145,23 +168,12 @@ impl ConstMap {
 
     /// Forgets `d[addr]`.
     pub fn clear(&mut self, addr: usize) {
-        let a = addr % DATA_WORDS;
-        if self.known.contains(a) {
-            let mut keep = WordSet::empty();
-            for w in self.known.iter().filter(|&w| w != a) {
-                keep.insert(w);
-            }
-            self.known = keep;
-        }
+        self.known.remove(addr);
     }
 
     /// Forgets every word in `set`.
     pub fn clear_set(&mut self, set: &WordSet) {
-        let mut keep = WordSet::empty();
-        for w in self.known.iter().filter(|&w| !set.contains(w)) {
-            keep.insert(w);
-        }
-        self.known = keep;
+        self.known.subtract(set);
     }
 
     /// Forgets everything.
@@ -176,13 +188,13 @@ impl ConstMap {
 
     /// Must-join: keeps only words both maps know with equal values.
     pub fn join(&mut self, other: &ConstMap) {
-        let mut keep = WordSet::empty();
-        for a in self.known.iter() {
-            if other.get(a) == Some(self.vals[a]) {
-                keep.insert(a);
+        let both = self.known.intersection(&other.known);
+        self.known = both;
+        for a in both.iter() {
+            if self.vals[a] != other.vals[a] {
+                self.known.remove(a);
             }
         }
-        self.known = keep;
     }
 }
 
@@ -508,6 +520,7 @@ pub(crate) fn step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cgra_fabric::rng::Rng;
     use cgra_isa::ops::{at, at_off, d, imm, rem};
 
     fn run(prog: &[Instr]) -> DmemSummary {
@@ -753,5 +766,139 @@ mod tests {
         dead.insert(1);
         a.clear_set(&dead);
         assert!(a.is_empty());
+    }
+
+    /// Seeded random word sets with their naive 512-flag models.
+    /// Densities range from empty to full, and the word-boundary
+    /// addresses 0, 63, 64 and 511 are each present in about half the
+    /// sets.
+    fn random_set(rng: &mut Rng) -> (WordSet, Vec<bool>) {
+        let p = [0.0, 0.01, 0.1, 0.5, 0.9, 1.0][rng.gen_range(6)];
+        let mut model: Vec<bool> = (0..DATA_WORDS).map(|_| rng.gen_bool(p)).collect();
+        for edge in [0, 63, 64, 511] {
+            model[edge] = rng.gen_bool(0.5);
+        }
+        let mut set = WordSet::empty();
+        for a in (0..DATA_WORDS).filter(|&a| model[a]) {
+            set.insert(a);
+        }
+        (set, model)
+    }
+
+    fn members(model: &[bool]) -> Vec<usize> {
+        (0..DATA_WORDS).filter(|&a| model[a]).collect()
+    }
+
+    /// A map knowing the words of a random set, with values drawn from a
+    /// small range so joins see both agreement and conflict. Unknown
+    /// words carry stale values that no operation may look at.
+    fn random_map(rng: &mut Rng) -> (ConstMap, Vec<Option<i64>>) {
+        let (_, known) = random_set(rng);
+        let mut map = ConstMap::empty();
+        for a in 0..DATA_WORDS {
+            map.set(a, rng.gen_range_i64(-3, 3));
+        }
+        map.clear_all();
+        let mut model = vec![None; DATA_WORDS];
+        for a in members(&known) {
+            let v = rng.gen_range_i64(0, 3);
+            map.set(a, v);
+            model[a] = Some(v);
+        }
+        (map, model)
+    }
+
+    fn map_model(map: &ConstMap) -> Vec<Option<i64>> {
+        (0..DATA_WORDS).map(|a| map.get(a)).collect()
+    }
+
+    #[test]
+    fn wordset_matches_naive_model() {
+        let mut rng = Rng::seed_from_u64(0x5e7b175);
+        for _ in 0..300 {
+            let (s, m) = random_set(&mut rng);
+            let (t, n) = random_set(&mut rng);
+            assert_eq!(s.iter().collect::<Vec<_>>(), members(&m));
+            assert_eq!(s.len(), members(&m).len());
+            assert_eq!(s.is_empty(), members(&m).is_empty());
+            let both: Vec<bool> = (0..DATA_WORDS).map(|a| m[a] && n[a]).collect();
+            assert_eq!(
+                s.intersection(&t).iter().collect::<Vec<_>>(),
+                members(&both)
+            );
+            assert_eq!(s.intersects(&t), !members(&both).is_empty());
+            let mut u = s;
+            u.union(&t);
+            let either: Vec<bool> = (0..DATA_WORDS).map(|a| m[a] || n[a]).collect();
+            assert_eq!(u.iter().collect::<Vec<_>>(), members(&either));
+            let mut d = s;
+            d.subtract(&t);
+            let only: Vec<bool> = (0..DATA_WORDS).map(|a| m[a] && !n[a]).collect();
+            assert_eq!(d.iter().collect::<Vec<_>>(), members(&only));
+            let mut r = s;
+            let mut rm = m.clone();
+            for a in [0, 63, 64, 511, rng.gen_range(DATA_WORDS)] {
+                r.remove(a + DATA_WORDS); // wraps like insert
+                rm[a] = false;
+            }
+            assert_eq!(r.iter().collect::<Vec<_>>(), members(&rm));
+        }
+    }
+
+    #[test]
+    fn constmap_matches_naive_model() {
+        let mut rng = Rng::seed_from_u64(0xc0575);
+        for _ in 0..300 {
+            let (a, am) = random_map(&mut rng);
+            let (b, bm) = random_map(&mut rng);
+            assert_eq!(map_model(&a), am);
+            assert_eq!(a.is_empty(), am.iter().all(Option::is_none));
+
+            // clear: single words, including the word boundaries.
+            let mut c = a.clone();
+            let mut cm = am.clone();
+            for w in [0, 63, 64, 511, rng.gen_range(DATA_WORDS)] {
+                c.clear(w);
+                cm[w] = None;
+            }
+            assert_eq!(map_model(&c), cm);
+
+            // clear_set against a random set.
+            let (dead, dm) = random_set(&mut rng);
+            let mut c = a.clone();
+            c.clear_set(&dead);
+            let cm: Vec<_> = (0..DATA_WORDS)
+                .map(|w| if dm[w] { None } else { am[w] })
+                .collect();
+            assert_eq!(map_model(&c), cm);
+
+            // join keeps the words both know with equal values.
+            let mut j = a.clone();
+            j.join(&b);
+            let jm: Vec<_> = (0..DATA_WORDS)
+                .map(|w| if am[w] == bm[w] { am[w] } else { None })
+                .collect();
+            assert_eq!(map_model(&j), jm);
+
+            // ==: against an unrelated map, and against perturbed copies
+            // (a stale value differing must not matter; a known one must).
+            assert_eq!(a == b, am == bm);
+            let w = rng.gen_range(DATA_WORDS);
+            let mut p = a.clone();
+            match am[w] {
+                Some(v) => {
+                    p.set(w, v + 1);
+                    assert!(a != p);
+                    p.set(w, v);
+                    assert!(a == p);
+                }
+                None => {
+                    p.set(w, 7);
+                    assert!(a != p);
+                    p.clear(w);
+                    assert!(a == p, "a stale value must not break equality");
+                }
+            }
+        }
     }
 }
