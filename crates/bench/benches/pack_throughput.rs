@@ -121,12 +121,12 @@ fn main() {
     let with_sink_ns = time_it("fft-1024 event-driven, sink attached", || {
         let mut r = strict_runner(mesh, &cost);
         r.sim.attach_sink(Box::new(Recorder::new()));
-        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions::default())
             .expect("with-sink run");
     });
     let sink_less_ns = time_it("fft-1024 event-driven, sink-less    ", || {
         let mut r = strict_runner(mesh, &cost);
-        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions::default())
             .expect("sink-less run");
     });
     check(

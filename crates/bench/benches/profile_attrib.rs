@@ -34,7 +34,7 @@ fn profile(name: &str, cost: &CostModel, event_driven: bool) -> Attribution {
     if event_driven {
         let mut cache = ProgramCache::new();
         runner
-            .run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+            .run_schedule_event_driven(&epochs, &mut cache, &EventOptions::default())
             .expect("event-driven run");
     } else {
         runner.run_schedule(&epochs).expect("serial run");

@@ -1,9 +1,8 @@
 //! Simulation throughput: serial per-cycle interpreter vs the
 //! certificate-driven event core (ISSUE 7). Each example schedule is
-//! run end-to-end three ways — the serial engine, the event-driven
-//! loop (activity certificate, pre-decoded programs, single worker)
-//! and the parallel loop (independence classes sharded over all
-//! cores) — with bit-exactness cross-checked before timing. Emits
+//! run end-to-end two ways — the serial engine and the event-driven
+//! loop (activity certificate, pre-decoded programs, certified tiles
+//! stepped in place) — with bit-exactness cross-checked before timing. Emits
 //! `BENCH_sim.json` at the repo root and gates on the ISSUE 7
 //! acceptance floor: fft-1024 end-to-end at least 5x faster than the
 //! serial interpreter (target 10x).
@@ -26,7 +25,6 @@ struct Series {
     epochs: usize,
     serial_ns: f64,
     event_ns: f64,
-    parallel_ns: f64,
     cache_len: usize,
     cache_hits: u64,
 }
@@ -34,12 +32,6 @@ struct Series {
 impl Series {
     fn event_speedup(&self) -> f64 {
         self.serial_ns / self.event_ns
-    }
-    fn parallel_speedup(&self) -> f64 {
-        self.serial_ns / self.parallel_ns
-    }
-    fn best_speedup(&self) -> f64 {
-        self.event_speedup().max(self.parallel_speedup())
     }
 }
 
@@ -59,7 +51,7 @@ fn measure(name: &'static str, cost: &CostModel) -> Series {
     let mut progs = ProgramCache::new();
     let mut event = strict_runner(mesh, cost);
     let ereport = event
-        .run_schedule_event_driven(&epochs, &mut progs, &EventOptions { jobs: 1 })
+        .run_schedule_event_driven(&epochs, &mut progs, &EventOptions::default())
         .expect("event-driven run");
     check(
         &format!("{name}: event-driven Eq. 1 report matches serial"),
@@ -92,13 +84,8 @@ fn measure(name: &'static str, cost: &CostModel) -> Series {
     let mut cache = ProgramCache::new();
     let event_ns = time_it(&format!("{name:<12} event-driven"), || {
         let mut r = strict_runner(mesh, cost);
-        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions::default())
             .expect("event-driven run");
-    });
-    let parallel_ns = time_it(&format!("{name:<12} parallel    "), || {
-        let mut r = strict_runner(mesh, cost);
-        r.run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 0 })
-            .expect("parallel run");
     });
 
     // Decode stats from a controlled cold + warm pair, not the timing
@@ -108,7 +95,7 @@ fn measure(name: &'static str, cost: &CostModel) -> Series {
     let mut stat_cache = ProgramCache::new();
     for _ in 0..2 {
         let mut r = strict_runner(mesh, cost);
-        r.run_schedule_event_driven(&epochs, &mut stat_cache, &EventOptions { jobs: 1 })
+        r.run_schedule_event_driven(&epochs, &mut stat_cache, &EventOptions::default())
             .expect("decode-stats run");
     }
 
@@ -117,7 +104,6 @@ fn measure(name: &'static str, cost: &CostModel) -> Series {
         epochs: epochs.len(),
         serial_ns,
         event_ns,
-        parallel_ns,
         cache_len: stat_cache.len(),
         cache_hits: stat_cache.hits(),
     }
@@ -136,19 +122,17 @@ fn main() {
 
     println!();
     println!(
-        "  {:<12} {:>6} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "schedule", "epochs", "serial", "event", "parallel", "ev x", "par x"
+        "  {:<12} {:>6} {:>12} {:>12} {:>8}",
+        "schedule", "epochs", "serial", "event", "ev x"
     );
     for r in &rows {
         println!(
-            "  {:<12} {:>6} {:>9} ms {:>9} ms {:>9} ms {:>7.1}x {:>7.1}x",
+            "  {:<12} {:>6} {:>9} ms {:>9} ms {:>7.1}x",
             r.name,
             r.epochs,
             f(r.serial_ns / 1e6, 3),
             f(r.event_ns / 1e6, 3),
-            f(r.parallel_ns / 1e6, 3),
             r.event_speedup(),
-            r.parallel_speedup(),
         );
     }
 
@@ -159,13 +143,13 @@ fn main() {
     check(
         &format!(
             "fft-1024: event core >=5x over the serial interpreter (got {:.1}x, target 10x)",
-            fft1024.best_speedup()
+            fft1024.event_speedup()
         ),
-        fft1024.best_speedup() >= 5.0,
+        fft1024.event_speedup() >= 5.0,
     );
     check(
         "every schedule: the event core never loses to serial",
-        rows.iter().all(|r| r.best_speedup() > 1.0),
+        rows.iter().all(|r| r.event_speedup() > 1.0),
     );
     check(
         "program cache amortizes across replays (hits dominate)",
@@ -178,16 +162,13 @@ fn main() {
         rows.iter()
             .map(|r| format!(
                 "    {{\"name\": \"{}\", \"epochs\": {}, \"serial_ns\": {:.1}, \
-                 \"event_driven_ns\": {:.1}, \"parallel_ns\": {:.1}, \
-                 \"event_speedup\": {:.3}, \"parallel_speedup\": {:.3}, \
+                 \"event_driven_ns\": {:.1}, \"event_speedup\": {:.3}, \
                  \"decoded_programs\": {}, \"decode_cache_hits\": {}}}",
                 r.name,
                 r.epochs,
                 r.serial_ns,
                 r.event_ns,
-                r.parallel_ns,
                 r.event_speedup(),
-                r.parallel_speedup(),
                 r.cache_len,
                 r.cache_hits,
             ))

@@ -9,10 +9,10 @@
 //! every candidate without cross-thread contention.
 //!
 //! The machinery itself lives in [`cgra_fabric::par::run_sharded`],
-//! generic over the per-worker counter type — the event-driven
-//! simulator steps independence classes on the same pool — and this
-//! module pins the counter type to [`SweepCounters`] for the sweep
-//! engine.
+//! generic over the per-worker counter type, and this module pins the
+//! counter type to [`SweepCounters`] for the sweep engine. The sweep's
+//! candidates are the unit of parallelism: each one's event-driven
+//! simulation runs on its worker's thread.
 //!
 //! ```
 //! use cgra_explore::pool::run_sharded;

@@ -1,6 +1,6 @@
 //! Soundness of the event-driven, certificate-gated simulator core:
 //! on real schedules (FFT columns, the JPEG stream) the event-driven
-//! and parallel paths must be **bit-exact** with the serial engine —
+//! and certified paths must be **bit-exact** with the serial engine —
 //! memories, PE state, counters, clocks, reports, summary events, and
 //! (up to interleaving) the fine-grained sink stream — and a fabricated
 //! certificate must never execute: it is refused, recorded as `V122`,
@@ -34,13 +34,8 @@ struct Observed {
 
 enum Engine {
     Serial,
-    Event {
-        jobs: usize,
-    },
-    Certified {
-        cert: ActivityCertificate,
-        jobs: usize,
-    },
+    Event,
+    Certified(ActivityCertificate),
 }
 
 fn run(mesh: cgra_fabric::Mesh, epochs: &[Epoch], cost: &CostModel, engine: Engine) -> Observed {
@@ -51,13 +46,13 @@ fn run(mesh: cgra_fabric::Mesh, epochs: &[Epoch], cost: &CostModel, engine: Engi
     let mut runner = EpochRunner::new(sim, *cost);
     let report = match engine {
         Engine::Serial => runner.run_schedule(epochs),
-        Engine::Event { jobs } => {
+        Engine::Event => {
             let mut progs = ProgramCache::new();
-            runner.run_schedule_event_driven(epochs, &mut progs, &EventOptions { jobs })
+            runner.run_schedule_event_driven(epochs, &mut progs, &EventOptions::default())
         }
-        Engine::Certified { cert, jobs } => {
+        Engine::Certified(cert) => {
             let mut progs = ProgramCache::new();
-            runner.run_schedule_certified(epochs, &cert, &mut progs, &EventOptions { jobs })
+            runner.run_schedule_certified(epochs, &cert, &mut progs)
         }
     }
     .expect("schedule runs");
@@ -133,46 +128,19 @@ fn fft_64_event_driven_is_bit_exact() {
     let (mesh, epochs) = fft_schedule(64, 16);
     let cost = CostModel::with_link_cost(150.0);
     let serial = run(mesh, &epochs, &cost, Engine::Serial);
-    let event = run(mesh, &epochs, &cost, Engine::Event { jobs: 1 });
+    let event = run(mesh, &epochs, &cost, Engine::Event);
     assert_bit_exact(&serial, &event, "fft-64 event-driven");
 }
 
-#[test]
-fn fft_64_parallel_classes_are_bit_exact() {
-    let (mesh, epochs) = fft_schedule(64, 16);
-    let cost = CostModel::with_link_cost(150.0);
-    let serial = run(mesh, &epochs, &cost, Engine::Serial);
-    for jobs in [2, 4, 0] {
-        let par = run(mesh, &epochs, &cost, Engine::Event { jobs });
-        assert_bit_exact(&serial, &par, &format!("fft-64 jobs={jobs}"));
-    }
-}
-
-/// `jobs` far beyond the independence-class count: the pool clamps its
-/// worker count to the class count inside
-/// `cgra_fabric::par::run_sharded`, and the oversized request changes
-/// nothing observable.
-#[test]
-fn jobs_beyond_class_count_are_bit_exact() {
-    let (mesh, epochs) = fft_schedule(64, 16);
-    let cost = CostModel::with_link_cost(150.0);
-    let serial = run(mesh, &epochs, &cost, Engine::Serial);
-    let par = run(mesh, &epochs, &cost, Engine::Event { jobs: 64 });
-    assert_bit_exact(&serial, &par, "fft-64 jobs=64");
-}
-
 /// The acceptance anchor: the paper's full 1024-point FFT schedule (232
-/// epochs, 8 tiles) runs bit-exact through the event-driven core, both
-/// serial-class and parallel-class stepping.
+/// epochs, 8 tiles) runs bit-exact through the event-driven core.
 #[test]
 fn fft_1024_event_driven_is_bit_exact() {
     let (mesh, epochs) = fft_schedule(1024, 128);
     let cost = CostModel::with_link_cost(150.0);
     let serial = run(mesh, &epochs, &cost, Engine::Serial);
-    let event = run(mesh, &epochs, &cost, Engine::Event { jobs: 1 });
+    let event = run(mesh, &epochs, &cost, Engine::Event);
     assert_bit_exact(&serial, &event, "fft-1024 event-driven");
-    let par = run(mesh, &epochs, &cost, Engine::Event { jobs: 0 });
-    assert_bit_exact(&serial, &par, "fft-1024 parallel");
 }
 
 #[test]
@@ -181,10 +149,8 @@ fn jpeg_stream_event_driven_is_bit_exact() {
     let (mesh, epochs) = jpeg_stream_schedule(&blocks, &QuantTable::luma(75));
     let cost = CostModel::default();
     let serial = run(mesh, &epochs, &cost, Engine::Serial);
-    let event = run(mesh, &epochs, &cost, Engine::Event { jobs: 1 });
+    let event = run(mesh, &epochs, &cost, Engine::Event);
     assert_bit_exact(&serial, &event, "jpeg-stream event-driven");
-    let par = run(mesh, &epochs, &cost, Engine::Event { jobs: 2 });
-    assert_bit_exact(&serial, &par, "jpeg-stream parallel");
 }
 
 /// A genuine certificate is accepted: no `V122` in the diagnostics and
@@ -196,7 +162,7 @@ fn genuine_certificate_is_accepted_and_bit_exact() {
     let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
     let cert = analyze_activity(mesh, &cost, &specs).cert;
     let serial = run(mesh, &epochs, &cost, Engine::Serial);
-    let certified = run(mesh, &epochs, &cost, Engine::Certified { cert, jobs: 1 });
+    let certified = run(mesh, &epochs, &cost, Engine::Certified(cert));
     assert_bit_exact(&serial, &certified, "fft-64 certified");
 }
 
@@ -261,7 +227,7 @@ fn fabricated_certificates_are_refused_and_fall_back() {
         let mut runner = EpochRunner::new(sim, cost);
         let mut progs = ProgramCache::new();
         let report = runner
-            .run_schedule_certified(&epochs, &cert, &mut progs, &EventOptions { jobs: 1 })
+            .run_schedule_certified(&epochs, &cert, &mut progs)
             .expect("fallback still runs");
         assert!(
             runner

@@ -96,9 +96,8 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// carries a private `C` counter block threaded through `f`. Panics in
 /// `f` propagate to the caller.
 ///
-/// This is the engine under `cgra_explore::pool::run_sharded` (which
-/// fixes `C` to its sweep counters) and the event-driven simulator's
-/// independence-class stepping (which uses `C = ()`).
+/// This is the engine under `cgra_explore::pool::run_sharded`, which
+/// fixes `C` to its sweep counters.
 pub fn run_sharded<T, R, C, F>(jobs: usize, items: Vec<T>, f: F) -> PoolOutput<R, C>
 where
     T: Send,

@@ -16,9 +16,11 @@
 //! 3. Under an accepted certificate each epoch runs event-driven:
 //!    provably-inactive tiles are never visited, the reconfiguration
 //!    stall head is accounted in one step instead of cycle-by-cycle,
-//!    and the independence classes step on the shared worker pool
-//!    ([`cgra_fabric::par::run_sharded`]) when [`EventOptions::jobs`]
-//!    asks for parallelism.
+//!    and the tiles of the independence classes step together, in
+//!    place, in ascending order on the calling thread — which is the
+//!    serial engine's own order. Each tile keeps its class id, and a
+//!    word that crosses between classes, or a live tile without a
+//!    decoded program, is still refused at run time.
 //!
 //! Programs are decoded **once per distinct image** into a
 //! [`ProgramCache`] (shared across epochs, and across DSE candidates
@@ -37,12 +39,10 @@
 //! cycles as the serial engine's, though their interleaving in the
 //! stream may differ (sort both streams to compare).
 
-use crate::engine::{SimError, TileStats, VerifyMode};
+use crate::engine::{ArraySim, SimError, TileStats, VerifyMode};
 use crate::epoch::{epoch_spec, Epoch, EpochReport, EpochRunner, RunReport};
-use cgra_fabric::{
-    CostModel, FabricError, LinkConfig, Mesh, ReconfigPlan, Tile, TileId, TileReconfig, Word,
-};
-use cgra_isa::{decode, encode_program, step_decoded, ExecError, Instr, PeState, StepEffect};
+use cgra_fabric::{CostModel, FabricError, Mesh, ReconfigPlan, TileId, TileReconfig, Word};
+use cgra_isa::{decode, encode_program, step_decoded, ExecError, Instr, StepEffect};
 use cgra_telemetry::{Event, SegState};
 use cgra_verify::{
     analyze_activity, verify_activity, ActivityCertificate, Code, Diagnostic, EpochActivity,
@@ -60,7 +60,7 @@ pub struct DecodedProgram {
     /// One entry per image slot, in pc order.
     pub slots: Vec<Result<Instr, String>>,
     /// The same slots as a plain instruction array when every slot
-    /// decoded cleanly (`None` if any slot is poison): the class
+    /// decoded cleanly (`None` if any slot is poison): the certified
     /// stepper's fetch path indexes this without per-cycle `Result`
     /// matching.
     pub clean: Option<Vec<Instr>>,
@@ -231,233 +231,140 @@ pub fn schedule_key(mesh: Mesh, cost: &CostModel, verify: VerifyMode, epochs: &[
     k
 }
 
-/// Options for the event-driven core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventOptions {
-    /// Worker threads for stepping independence classes: `1` (the
-    /// default) steps every class on the calling thread, `0` takes one
-    /// worker per available core, `n` takes `n`. Keep `1` inside outer
-    /// parallelism (the DSE sweep already fans out across candidates).
-    pub jobs: usize,
-}
+/// Options for [`EpochRunner::run_schedule_event_driven`]; it has none.
+/// The certified tiles step in place on the calling thread, since the
+/// unit of parallelism that pays is outside one run (the DSE sweep's
+/// fan-out across candidates).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventOptions {}
 
-impl Default for EventOptions {
-    fn default() -> EventOptions {
-        EventOptions { jobs: 1 }
-    }
-}
+/// Class id of a tile outside every independence class.
+const NO_CLASS: u32 = u32::MAX;
 
-/// One extracted class member: the tile's hardware, PE state, and
-/// counters, moved out of the array for the duration of the class run.
-type Member = (TileId, Tile, PeState, TileStats);
-
-/// An error raised while stepping one class, positioned so the earliest
-/// error across classes (serial order: step errors before write-landing
-/// errors within a cycle, deadline checked before either) wins.
-struct ClassErr {
-    cyc: u64,
-    phase: u8,
-    tile: TileId,
-    err: SimError,
-}
-
-/// What stepping one independence class produced.
-struct ClassRun {
-    /// Cycles until every member halted (relative to the class start).
+/// What stepping the certified tiles of one epoch produced.
+#[derive(Debug)]
+struct Stepped {
+    /// Cycles until every stepped tile halted.
     cycles: u64,
-    /// `(landing cycle relative to class start, from, to)` per word.
+    /// `(landing cycle relative to the stepping start, from, to)` per
+    /// word, in landing order; empty unless `record_transfers`.
     transfers: Vec<(u64, TileId, TileId)>,
-    /// The earliest error, if the class faulted.
-    err: Option<ClassErr>,
 }
 
-/// Steps every member of one independence class to quiescence, exactly
-/// as the serial engine would: members step in ascending tile order,
-/// remote writes land at the end of the cycle in issue order, and the
-/// class deadlines once `class_budget` cycles elapse without
-/// quiescence. The certificate guarantees no word crosses a class
-/// boundary; a write that tries anyway is refused as
+/// Steps `tiles` (ascending: the union of an epoch's independence
+/// classes) in place on `sim` to quiescence, exactly as the serial
+/// engine would: every live tile steps once per cycle in ascending
+/// order, remote writes land at the end of the cycle in issue order,
+/// and the run deadlines once `budget` cycles elapse without
+/// quiescence. `class_of` maps every tile to its class ([`NO_CLASS`]
+/// outside them) and `progs` to its decoded program; the certificate
+/// guarantees that no word crosses a class boundary and that every live
+/// tile has a program, and a run that breaks either is refused as
 /// [`Code::CertificateRefused`].
-fn step_class(
-    mesh: &Mesh,
-    links: &LinkConfig,
-    class_budget: u64,
+///
+/// An error comes with the cycle count the serial engine would have
+/// reached: one past the faulting cycle, or `budget` at the deadline
+/// (reported as `deadline_budget`, the epoch's own budget).
+fn step_certified(
+    sim: &mut ArraySim,
+    tiles: &[TileId],
+    class_of: &[u32],
+    progs: &[Option<Arc<DecodedProgram>>],
+    budget: u64,
     deadline_budget: u64,
-    members: &mut [Member],
-    progs: &HashMap<TileId, Arc<DecodedProgram>>,
     record_transfers: bool,
-) -> ClassRun {
+) -> Result<Stepped, (u64, SimError)> {
     let mut transfers: Vec<(u64, TileId, TileId)> = Vec::new();
-    let mut writes: Vec<(usize, TileId, TileId, usize, Word)> = Vec::new();
-    let mut cyc: u64 = 0;
-    // Resolve each member's decoded program once — the cycle loop below
-    // runs ~10^5 times per schedule and a per-cycle map lookup would
-    // dominate it.
-    let resolved: Vec<Option<Arc<DecodedProgram>>> =
-        members.iter().map(|m| progs.get(&m.0).cloned()).collect();
-    // Fetch fast path per member: a plain instruction slice when every
-    // slot decoded cleanly, falling back to the poison-aware slot walk.
+    let mut writes: Vec<(TileId, TileId, usize, Word)> = Vec::new();
+    // Resolve each tile's program and its fetch fast path (a plain
+    // instruction slice when every slot decoded cleanly) once — the
+    // cycle loop below runs ~10^5 times per schedule.
+    let resolved: Vec<Option<&DecodedProgram>> = tiles
+        .iter()
+        .map(|&t| progs.get(t).and_then(|p| p.as_deref()))
+        .collect();
     let lanes: Vec<Option<&[Instr]>> = resolved
         .iter()
-        .map(|r| r.as_ref().and_then(|p| p.clean.as_deref()))
+        .map(|r| r.and_then(|p| p.clean.as_deref()))
         .collect();
-    let done = |cyc, transfers, err| ClassRun {
-        cycles: cyc,
-        transfers,
-        err,
-    };
-    // Count live members once and track halts incrementally — the loop
-    // body runs per simulated cycle and must stay allocation- and
-    // scan-free on its hot path.
-    let mut live = members.iter().filter(|m| !m.2.halted).count();
-    loop {
-        if live == 0 {
-            return done(cyc, transfers, None);
-        }
-        if cyc >= class_budget {
-            return done(
-                cyc,
-                transfers,
-                Some(ClassErr {
-                    cyc: class_budget,
-                    phase: 2,
-                    tile: 0,
-                    err: SimError::Deadline {
-                        budget: deadline_budget,
-                    },
-                }),
-            );
-        }
-        writes.clear();
-        for i in 0..members.len() {
-            let m = &mut members[i];
-            if m.2.halted {
-                continue;
-            }
-            let t = m.0;
-            let Some(prog) = &resolved[i] else {
-                return done(
-                    cyc,
-                    transfers,
-                    Some(ClassErr {
-                        cyc,
-                        phase: 0,
-                        tile: t,
-                        err: SimError::Verify(vec![Diagnostic::error(
-                            Code::CertificateRefused,
-                            format!(
-                                "tile {t} is active without a decoded program; the activity \
-                                 certificate does not cover it"
-                            ),
-                        )]),
-                    }),
-                );
+    let refused =
+        |msg: String| SimError::Verify(vec![Diagnostic::error(Code::CertificateRefused, msg)]);
+    // Positions in `tiles` of the tiles still running, ascending; a tile
+    // that halts drops out (nothing re-arms it within the epoch).
+    let mut live: Vec<usize> = (0..tiles.len())
+        .filter(|&k| !sim.states[tiles[k]].halted)
+        .collect();
+    let mut cyc: u64 = 0;
+    while !live.is_empty() {
+        if cyc >= budget {
+            let err = SimError::Deadline {
+                budget: deadline_budget,
             };
-            let effect = match lanes[i] {
-                Some(clean) if m.2.pc < clean.len() => {
-                    let instr = clean[m.2.pc];
-                    step_decoded(&mut m.1, &mut m.2, instr)
-                }
-                _ => {
-                    if m.2.pc >= prog.slots.len() {
-                        Err(ExecError::Fabric(FabricError::PcOutOfRange {
-                            pc: m.2.pc,
-                            len: prog.slots.len(),
-                        }))
-                    } else {
-                        match &prog.slots[m.2.pc] {
-                            Ok(instr) => step_decoded(&mut m.1, &mut m.2, *instr),
-                            Err(msg) => Err(ExecError::Decode(msg.clone())),
-                        }
-                    }
-                }
+            return Err((budget, err));
+        }
+        let fault = |err| Err((cyc + 1, err));
+        let mut kept = 0;
+        for i in 0..live.len() {
+            let k = live[i];
+            let t = tiles[k];
+            let st = &mut sim.states[t];
+            let Some(prog) = resolved[k] else {
+                return fault(refused(format!(
+                    "tile {t} is active without a decoded program; the activity certificate \
+                     does not cover it"
+                )));
+            };
+            let tile = &mut sim.tiles[t];
+            let effect = match lanes[k] {
+                Some(clean) if st.pc < clean.len() => step_decoded(tile, st, clean[st.pc]),
+                _ => match prog.slots.get(st.pc) {
+                    None => Err(ExecError::Fabric(FabricError::PcOutOfRange {
+                        pc: st.pc,
+                        len: prog.slots.len(),
+                    })),
+                    Some(Ok(instr)) => step_decoded(tile, st, *instr),
+                    Some(Err(msg)) => Err(ExecError::Decode(msg.clone())),
+                },
             };
             let effect = match effect {
                 Ok(e) => e,
-                Err(err) => {
-                    return done(
-                        cyc,
-                        transfers,
-                        Some(ClassErr {
-                            cyc,
-                            phase: 0,
-                            tile: t,
-                            err: SimError::Exec { tile: t, err },
-                        }),
-                    )
-                }
+                Err(err) => return fault(SimError::Exec { tile: t, err }),
             };
-            m.3.busy_cycles += 1;
+            sim.stats[t].busy_cycles += 1;
+            if !st.halted {
+                live[kept] = k;
+                kept += 1;
+            }
             match effect {
-                StepEffect::None => {}
-                StepEffect::Halted => live -= 1,
+                StepEffect::None | StepEffect::Halted => {}
                 StepEffect::RemoteWrite { addr, value } => {
-                    let Some(dir) = links.get(t) else {
-                        return done(
-                            cyc,
-                            transfers,
-                            Some(ClassErr {
-                                cyc,
-                                phase: 0,
-                                tile: t,
-                                err: SimError::UnroutedWrite { tile: t },
-                            }),
-                        );
+                    let Some(dir) = sim.links.get(t) else {
+                        return fault(SimError::UnroutedWrite { tile: t });
                     };
-                    let Some(dst) = mesh.neighbour(t, dir) else {
-                        return done(
-                            cyc,
-                            transfers,
-                            Some(ClassErr {
-                                cyc,
-                                phase: 0,
-                                tile: t,
-                                err: SimError::Fabric(FabricError::NotNeighbours {
-                                    from: t,
-                                    to: t,
-                                }),
-                            }),
-                        );
+                    let Some(dst) = sim.mesh.neighbour(t, dir) else {
+                        return fault(SimError::Fabric(FabricError::NotNeighbours {
+                            from: t,
+                            to: t,
+                        }));
                     };
-                    members[i].3.words_sent += 1;
-                    let Some(j) = members.iter().position(|m| m.0 == dst) else {
-                        return done(
-                            cyc,
-                            transfers,
-                            Some(ClassErr {
-                                cyc,
-                                phase: 0,
-                                tile: t,
-                                err: SimError::Verify(vec![Diagnostic::error(
-                                    Code::CertificateRefused,
-                                    format!(
-                                        "tile {t} wrote to tile {dst} outside its independence \
-                                         class; the activity certificate is unsound for this \
-                                         schedule"
-                                    ),
-                                )]),
-                            }),
-                        );
-                    };
-                    writes.push((j, t, dst, addr, value));
+                    sim.stats[t].words_sent += 1;
+                    if class_of.get(dst).copied().unwrap_or(NO_CLASS) != class_of[t] {
+                        return fault(refused(format!(
+                            "tile {t} wrote to tile {dst} outside its independence class; the \
+                             activity certificate is unsound for this schedule"
+                        )));
+                    }
+                    writes.push((t, dst, addr, value));
                 }
             }
         }
+        live.truncate(kept);
         // Remote writes land at the end of the cycle, in issue order.
-        for &(j, src, dst, addr, value) in &writes {
-            if let Err(e) = members[j].1.dmem.poke(addr, value) {
-                return done(
-                    cyc,
-                    transfers,
-                    Some(ClassErr {
-                        cyc,
-                        phase: 1,
-                        tile: src,
-                        err: SimError::Fabric(e),
-                    }),
-                );
+        for (src, dst, addr, value) in writes.drain(..) {
+            if let Err(e) = sim.tiles[dst].dmem.poke(addr, value) {
+                return fault(SimError::Fabric(e));
             }
-            members[j].3.words_received += 1;
+            sim.stats[dst].words_received += 1;
             // Per-landing telemetry is only consumed when a sink is
             // attached; sink-less runs skip the per-word bookkeeping.
             if record_transfers {
@@ -466,6 +373,10 @@ fn step_class(
         }
         cyc += 1;
     }
+    Ok(Stepped {
+        cycles: cyc,
+        transfers,
+    })
 }
 
 impl EpochRunner {
@@ -487,18 +398,18 @@ impl EpochRunner {
     /// run's recorded diagnostics and checker state instead of
     /// re-deriving them, and is only consulted from the exact state the
     /// transcript was recorded in (fresh checker, quiesced array; the
-    /// verify mode is part of the key).
+    /// verify mode is part of the key). `_opts` sets nothing.
     pub fn run_schedule_event_driven(
         &mut self,
         epochs: &[Epoch],
         progs: &mut ProgramCache,
-        opts: &EventOptions,
+        _opts: &EventOptions,
     ) -> Result<RunReport, SimError> {
         let key = schedule_key(self.sim.mesh, &self.cost, self.sim.verify, epochs);
         if self.checker.epochs_seen() == 0 && self.sim.quiesced() {
             if let Some(vs) = progs.verified_schedule(&key) {
                 let vs = Arc::clone(vs);
-                return self.replay_verified(epochs, &vs, progs, opts);
+                return self.replay_verified(epochs, &vs, progs);
             }
         }
         let fresh = self.checker.epochs_seen() == 0 && self.sim.quiesced();
@@ -511,7 +422,7 @@ impl EpochRunner {
             self.diagnostics.extend(refusals);
             return self.run_serial_tail(epochs);
         }
-        let report = self.certified_after_gate(epochs, &analysis.cert, progs, opts, true)?;
+        let report = self.certified_after_gate(epochs, &analysis.cert, progs, true)?;
         // Memoize only a fully clean run from the recordable starting
         // state: no refusal fell back mid-way, no gate errored (an
         // error would have propagated above), and the run began on a
@@ -544,14 +455,13 @@ impl EpochRunner {
         epochs: &[Epoch],
         vs: &VerifiedSchedule,
         progs: &mut ProgramCache,
-        opts: &EventOptions,
     ) -> Result<RunReport, SimError> {
         self.diagnostics.extend(vs.diags.iter().cloned());
         let mut report = RunReport::default();
         for (e, ea) in epochs.iter().zip(&vs.cert.epochs) {
             report
                 .epochs
-                .push(self.run_epoch_certified(e, ea, progs, opts, false)?);
+                .push(self.run_epoch_certified(e, ea, progs, false)?);
         }
         self.checker = vs.checker_after.clone();
         Ok(report)
@@ -568,10 +478,9 @@ impl EpochRunner {
         epochs: &[Epoch],
         cert: &ActivityCertificate,
         progs: &mut ProgramCache,
-        opts: &EventOptions,
     ) -> Result<RunReport, SimError> {
         self.cold_lint_gate(epochs)?;
-        self.certified_after_gate(epochs, cert, progs, opts, false)
+        self.certified_after_gate(epochs, cert, progs, false)
     }
 
     /// The post-gate half of the certified entry points: re-verify
@@ -583,7 +492,6 @@ impl EpochRunner {
         epochs: &[Epoch],
         cert: &ActivityCertificate,
         progs: &mut ProgramCache,
-        opts: &EventOptions,
         verified: bool,
     ) -> Result<RunReport, SimError> {
         // The certificate models a quiesced array at every epoch
@@ -610,7 +518,7 @@ impl EpochRunner {
         for (e, ea) in epochs.iter().zip(&cert.epochs) {
             report
                 .epochs
-                .push(self.run_epoch_certified(e, ea, progs, opts, true)?);
+                .push(self.run_epoch_certified(e, ea, progs, true)?);
         }
         Ok(report)
     }
@@ -627,9 +535,9 @@ impl EpochRunner {
 
     /// One epoch under an accepted certificate: identical verification,
     /// reconfiguration accounting, and event stream as
-    /// [`EpochRunner::run_epoch`], but the array never steps — the
-    /// stall head is accounted in one batch and only the certificate's
-    /// independence classes execute, each to its own quiescence.
+    /// [`EpochRunner::run_epoch`], but the array never steps cycle by
+    /// cycle — the stall head is accounted in one batch and only the
+    /// tiles of the certificate's independence classes execute.
     ///
     /// `gate` re-runs the per-epoch verifier; [`replay_verified`]
     /// passes `false` because the memoized transcript already carries
@@ -641,16 +549,10 @@ impl EpochRunner {
         epoch: &Epoch,
         ea: &EpochActivity,
         progs: &mut ProgramCache,
-        opts: &EventOptions,
         gate: bool,
     ) -> Result<EpochReport, SimError> {
-        if gate && self.sim.verify != VerifyMode::Off {
-            let found = self.checker.check_epoch(&epoch_spec(epoch));
-            let errs: Vec<Diagnostic> = cgra_verify::errors(&found).cloned().collect();
-            self.diagnostics.extend(found);
-            if !errs.is_empty() {
-                return Err(SimError::Verify(errs));
-            }
+        if gate {
+            self.gate_epoch(epoch)?;
         }
         // Reconfiguration plan and Eq. 1 accounting, bit for bit as the
         // serial path — but each image is encoded once and reused for
@@ -688,7 +590,8 @@ impl EpochRunner {
 
         // Apply the rewrites through the cache: verify each distinct
         // image at most once, decode it at most once.
-        let mut armed: HashMap<TileId, Arc<DecodedProgram>> = HashMap::new();
+        let n = self.sim.tiles.len();
+        let mut armed: Vec<Option<Arc<DecodedProgram>>> = vec![None; n];
         for ((t, setup), img) in epoch.setups.iter().zip(&images) {
             if let Some(img) = img {
                 if self.sim.verify != VerifyMode::Off && !progs.is_verified(img) {
@@ -702,7 +605,7 @@ impl EpochRunner {
                     .ok_or(FabricError::UnknownTile { tile: *t })?;
                 tile.load_program(img)?;
                 self.sim.states[*t].soft_reset();
-                armed.insert(*t, progs.decode_image(img));
+                armed[*t] = Some(progs.decode_image(img));
             }
             for patch in &setup.data_patches {
                 self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
@@ -726,91 +629,46 @@ impl EpochRunner {
                 s.reconfig_cycles += stall_cycles;
             }
         }
-        let class_budget = epoch.budget - if stalled.is_empty() { 0 } else { stall_cycles };
+        let head = if stalled.is_empty() { 0 } else { stall_cycles };
 
-        // Extract each class's members and step the classes
-        // independently — provably no words cross between them.
-        let mut extracted: Vec<(usize, Vec<Member>)> = Vec::with_capacity(ea.classes.len());
+        // Step the union of the independence classes in place; the
+        // class ids stay to refuse any word that crosses between them.
+        let mut class_of = vec![NO_CLASS; n];
+        let mut union: Vec<TileId> = Vec::new();
         for (ci, class) in ea.classes.iter().enumerate() {
-            let mut members = Vec::with_capacity(class.tiles.len());
-            for &t in &class.tiles {
-                if t >= self.sim.tiles.len() {
-                    continue;
-                }
-                let tile = std::mem::replace(&mut self.sim.tiles[t], Tile::new(t));
-                let st = std::mem::take(&mut self.sim.states[t]);
-                members.push((t, tile, st, self.sim.stats[t]));
+            for &t in class.tiles.iter().filter(|&&t| t < n) {
+                class_of[t] = ci as u32;
+                union.push(t);
             }
-            extracted.push((ci, members));
         }
-        let mesh = self.sim.mesh;
-        let links = self.sim.links.clone();
-        let deadline_budget = epoch.budget;
-        // A lone class gains nothing from the pool; step it in-thread
-        // and save the per-epoch spawn.
-        let jobs = if extracted.len() <= 1 { 1 } else { opts.jobs };
+        union.sort_unstable();
+        union.dedup();
         let record_transfers = self.sim.sink_attached();
-        let out: cgra_fabric::par::PoolOutput<(Vec<Member>, ClassRun), ()> =
-            cgra_fabric::par::run_sharded(jobs, extracted, |_ctx, (_ci, mut members)| {
-                let run = step_class(
-                    &mesh,
-                    &links,
-                    class_budget,
-                    deadline_budget,
-                    &mut members,
-                    &armed,
-                    record_transfers,
-                );
-                (members, run)
-            });
-        // Restore every member before any error can propagate.
-        let mut runs: Vec<ClassRun> = Vec::with_capacity(out.results.len());
-        for (members, run) in out.results {
-            for (t, tile, st, stats) in members {
-                self.sim.tiles[t] = tile;
-                self.sim.states[t] = st;
-                self.sim.stats[t] = stats;
+        let stepped = match step_certified(
+            &mut self.sim,
+            &union,
+            &class_of,
+            &armed,
+            epoch.budget - head,
+            epoch.budget,
+            record_transfers,
+        ) {
+            Ok(stepped) => stepped,
+            Err((elapsed, err)) => {
+                self.sim.now = start + head + elapsed;
+                return Err(err);
             }
-            runs.push(run);
-        }
-
-        // Earliest error across classes wins, in serial order: step
-        // errors before write-landing errors within a cycle, the
-        // deadline check before either at its cycle.
-        let mut first: Option<ClassErr> = None;
-        for run in &mut runs {
-            if let Some(e) = run.err.take() {
-                let better = match &first {
-                    None => true,
-                    Some(f) => (e.cyc, e.phase, e.tile) < (f.cyc, f.phase, f.tile),
-                };
-                if better {
-                    first = Some(e);
-                }
-            }
-        }
-        if let Some(e) = first {
-            self.sim.now = start
-                + if stalled.is_empty() { 0 } else { stall_cycles }
-                + e.cyc
-                + if e.phase == 2 { 0 } else { 1 };
-            return Err(e.err);
-        }
+        };
 
         // Busy-cycle conservation: what ran must sit inside the proved
         // intervals (Programmed tiles within their WCET span, PatchOnly
         // tiles at exactly zero).
+        let ran = |stats: &[TileStats], t: TileId| {
+            stats.get(t).map(|s| s.busy_cycles).unwrap_or(0)
+                - stats_before.get(t).map(|s| s.busy_cycles).unwrap_or(0)
+        };
         for iv in &ea.intervals {
-            let ran = self
-                .sim
-                .stats
-                .get(iv.tile)
-                .map(|s| s.busy_cycles)
-                .unwrap_or(0)
-                - stats_before
-                    .get(iv.tile)
-                    .map(|s| s.busy_cycles)
-                    .unwrap_or(0);
+            let ran = ran(&self.sim.stats, iv.tile);
             if !iv.busy.contains(ran) {
                 return Err(SimError::Verify(vec![Diagnostic::error(
                     Code::CertificateRefused,
@@ -824,13 +682,7 @@ impl EpochRunner {
             }
         }
 
-        let class_cycles = runs.iter().map(|r| r.cycles).max().unwrap_or(0);
-        let head = if stalled.is_empty() { 0 } else { stall_cycles };
-        let cycles = if stalled.is_empty() && runs.iter().all(|r| r.cycles == 0) {
-            0
-        } else {
-            head + class_cycles
-        };
+        let cycles = head + stepped.cycles;
         self.sim.now = start + cycles;
 
         // Synthesize the fine-grained sink events the serial engine
@@ -852,9 +704,8 @@ impl EpochRunner {
                     ));
                 }
             }
-            for (&t, _) in armed.iter() {
-                let ran = self.sim.stats.get(t).map(|s| s.busy_cycles).unwrap_or(0)
-                    - stats_before.get(t).map(|s| s.busy_cycles).unwrap_or(0);
+            for t in (0..n).filter(|&t| armed[t].is_some()) {
+                let ran = ran(&self.sim.stats, t);
                 if ran > 0 {
                     synth.push((
                         start + head,
@@ -868,19 +719,18 @@ impl EpochRunner {
                     ));
                 }
             }
-            for run in &runs {
-                for &(rel, from, to) in &run.transfers {
-                    synth.push((
-                        start + head + rel,
+            for &(rel, from, to) in &stepped.transfers {
+                let at = start + head + rel;
+                synth.push((
+                    at,
+                    from,
+                    Event::LinkTransfer {
                         from,
-                        Event::LinkTransfer {
-                            from,
-                            to,
-                            at: start + head + rel,
-                            words: 1,
-                        },
-                    ));
-                }
+                        to,
+                        at,
+                        words: 1,
+                    },
+                ));
             }
             synth.sort_by_key(|(at, tile, _)| (*at, *tile));
             for (_, _, ev) in synth {
@@ -888,15 +738,90 @@ impl EpochRunner {
             }
         }
 
-        self.finish_epoch(epoch_idx, &epoch.name, &stats_before);
-        let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
-        let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: epoch.name.clone(),
-            compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
-            reconfig_ns,
-            links_changed: plan.changed_links,
-            words_copied: sent_after - sent_before,
-        })
+        let switch = (reconfig_ns, stall_cycles, plan.changed_links);
+        Ok(self.close_epoch(epoch_idx, &epoch.name, &stats_before, cycles, switch))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cgra_fabric::Direction;
+    use cgra_isa::ops::{at_off, d, rem_off};
+    use cgra_isa::ProgramBuilder;
+
+    /// Tile 0 of a 1x2 mesh armed with a 4-word copy east into tile 1;
+    /// the first remote write issues on cycle 3.
+    fn armed_writer() -> (ArraySim, Vec<u128>) {
+        let mesh = Mesh::new(1, 2);
+        let mut p = ProgramBuilder::new();
+        p.ldar(0, 0);
+        p.ldar(1, 100);
+        p.ldi(d(500), 4);
+        let l = p.here_label();
+        p.mov(rem_off(1, 0), at_off(0, 0));
+        p.adar(0, 1);
+        p.adar(1, 1);
+        p.djnz(d(500), l);
+        p.halt();
+        let img = encode_program(&p.build().unwrap());
+        let mut sim = ArraySim::new(mesh);
+        sim.load_program(0, &img).unwrap();
+        sim.set_links(mesh.disconnected().with(0, Direction::East))
+            .unwrap();
+        (sim, img)
+    }
+
+    fn refusal(r: Result<Stepped, (u64, SimError)>) -> (u64, String) {
+        match r {
+            Err((at, SimError::Verify(diags))) => {
+                assert_eq!(diags.len(), 1);
+                assert_eq!(diags[0].code, Code::CertificateRefused);
+                (at, diags[0].message.clone())
+            }
+            other => panic!("want a V122 refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn write_across_classes_is_refused() {
+        let (mut sim, img) = armed_writer();
+        let progs = vec![Some(ProgramCache::new().decode_image(&img)), None];
+        // Writer and reader in one class: the copy completes.
+        let (mut joined, _) = armed_writer();
+        let ok = step_certified(&mut joined, &[0, 1], &[0, 0], &progs, 1000, 1000, true)
+            .expect("one class steps clean");
+        assert_eq!(joined.stats[1].words_received, 4);
+        assert_eq!(ok.transfers.len(), 4);
+        // Split into two classes: the first write is refused.
+        let (at, msg) = refusal(step_certified(
+            &mut sim,
+            &[0, 1],
+            &[0, 1],
+            &progs,
+            1000,
+            1000,
+            false,
+        ));
+        assert_eq!(at, 4, "refused on cycle 3, clock one past it");
+        assert!(msg.contains("outside its independence class"), "{msg}");
+        assert_eq!(sim.stats[1].words_received, 0);
+    }
+
+    #[test]
+    fn live_tile_without_a_program_is_refused() {
+        let (mut sim, _) = armed_writer();
+        let (at, msg) = refusal(step_certified(
+            &mut sim,
+            &[0, 1],
+            &[0, 0],
+            &[None, None],
+            1000,
+            1000,
+            false,
+        ));
+        assert_eq!(at, 1);
+        assert!(msg.contains("without a decoded program"), "{msg}");
+        assert_eq!(sim.stats[0].busy_cycles, 0);
     }
 }

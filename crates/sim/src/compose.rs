@@ -21,8 +21,7 @@
 
 use crate::engine::{SimError, TileStats, VerifyMode};
 use crate::epoch::{epoch_spec, Epoch, EpochReport, EpochRunner, RunReport};
-use cgra_fabric::{ReconfigPlan, ShadowConfig, TileId, TileReconfig};
-use cgra_isa::encode_program;
+use cgra_fabric::{ShadowConfig, TileId};
 use cgra_telemetry::Event;
 use cgra_verify::{
     check_disjoint, verify_footprint, Code, Diagnostic, EpochSpec, FootprintCertificate,
@@ -227,65 +226,8 @@ impl EpochRunner {
             for (i, t) in tenants.iter().enumerate() {
                 let Some(e) = t.epochs.get(j) else { continue };
                 budget = budget.max(e.budget);
-                let mut fg = ReconfigPlan::from_link_change(&prev[i], &e.links);
-                let mut full = ReconfigPlan::from_link_change(&prev[i], &e.links);
-                for (slot, (tile, setup)) in e.setups.iter().enumerate() {
-                    let rc = TileReconfig {
-                        program: setup.program.as_ref().map(|p| encode_program(p)),
-                        data_patches: setup.data_patches.clone(),
-                    };
-                    full.add_tile(*tile, rc.clone());
-                    let hoisted = t.hoist.as_ref().is_some_and(|p| p.is_hoisted(j, slot));
-                    if !hoisted {
-                        fg.add_tile(*tile, rc);
-                    }
-                }
-                let fg_ns = fg.total_ns(&self.cost);
-                let stall = self.cost.stall_cycles(fg_ns);
-                self.emit(Event::Reconfig {
-                    epoch: epoch_idx,
-                    at: start,
-                    breakdown: fg.breakdown(),
-                    reconfig_ns: fg_ns,
-                    stall_cycles: stall,
-                    stalled_tiles: full.stalled_tiles(),
-                });
-                for (slot, (tile, setup)) in e.setups.iter().enumerate() {
-                    let hoisted = t.hoist.as_ref().is_some_and(|p| p.is_hoisted(j, slot));
-                    if hoisted {
-                        let Some(rc) = shadows[i].as_mut().and_then(|sh| sh.commit(*tile, j))
-                        else {
-                            return Err(SimError::Bitstream(format!(
-                                "shadow commit: tile {tile} has no payload staged for epoch {j}"
-                            )));
-                        };
-                        let payload_ns = self.cost.data_reload_ns(rc.data_words())
-                            + self.cost.instr_reload_ns(rc.instr_words());
-                        if let Some(img) = &rc.program {
-                            self.sim.load_program(*tile, img)?;
-                        }
-                        for patch in &rc.data_patches {
-                            self.sim.tiles[*tile].dmem.load(patch.base, &patch.words)?;
-                        }
-                        self.emit(Event::ShadowCommit {
-                            epoch: epoch_idx,
-                            at: start,
-                            tile: *tile,
-                            payload_ns,
-                        });
-                    } else {
-                        if let Some(prog) = &setup.program {
-                            self.sim.load_program(*tile, &encode_program(prog))?;
-                        }
-                        for patch in &setup.data_patches {
-                            self.sim.tiles[*tile].dmem.load(patch.base, &patch.words)?;
-                        }
-                    }
-                }
-                for tile in full.stalled_tiles() {
-                    self.sim.stall_tile(tile, stall);
-                }
-                switches[i] = Some((fg_ns, stall, fg.changed_links));
+                let hoist = t.hoist.as_ref().zip(shadows[i].as_mut());
+                switches[i] = Some(self.switch_region(e, j, &prev[i], hoist)?);
                 prev[i] = e.links.clone();
             }
             // Merged interconnect: overlay each active region's link
@@ -385,37 +327,10 @@ impl EpochRunner {
                 });
             }
             // Stage hoisted payloads whose last donor window closed in
-            // this merged epoch (mirrors `run_hoisted_schedule`).
+            // this merged epoch.
             for (i, t) in tenants.iter().enumerate() {
-                let Some(plan) = &t.hoist else { continue };
-                for h in plan.hoists.iter() {
-                    if h.claims.iter().map(|c| c.epoch).max() != Some(j) {
-                        continue;
-                    }
-                    let Some((tile, setup)) =
-                        t.epochs.get(h.target).and_then(|ep| ep.setups.get(h.slot))
-                    else {
-                        continue; // verify_hoists already vouched; unreachable
-                    };
-                    let rc = TileReconfig {
-                        program: setup.program.as_ref().map(|p| encode_program(p)),
-                        data_patches: setup.data_patches.clone(),
-                    };
-                    let Some(sh) = shadows[i].as_mut() else {
-                        continue;
-                    };
-                    sh.stage(*tile, h.target, rc)
-                        .map_err(|e| SimError::Bitstream(format!("shadow stage: {e}")))?;
-                    let pending = sh.pending(*tile);
-                    let at = self.sim.now;
-                    self.emit(Event::ShadowPrefetch {
-                        epoch: j,
-                        at,
-                        tile: *tile,
-                        target: h.target,
-                        payload_ns: h.payload_ns,
-                        pending,
-                    });
+                if let (Some(plan), Some(sh)) = (&t.hoist, shadows[i].as_mut()) {
+                    self.stage_prefetches(&t.epochs, j, plan, sh)?;
                 }
             }
         }

@@ -21,6 +21,7 @@ use cgra_fabric::{
 };
 use cgra_isa::encode_program;
 use cgra_isa::Instr;
+use cgra_lint::HoistPlan;
 use cgra_telemetry::{Counters, Event};
 use cgra_verify::{Code, Diagnostic, EpochSpec, ScheduleChecker, TileSpec};
 
@@ -296,70 +297,7 @@ impl EpochRunner {
     /// the epochs this runner has executed); error findings abort the
     /// switch before anything is applied.
     pub fn run_epoch(&mut self, epoch: &Epoch) -> Result<EpochReport, SimError> {
-        if self.sim.verify != VerifyMode::Off {
-            let found = self.checker.check_epoch(&epoch_spec(epoch));
-            let errs: Vec<Diagnostic> = cgra_verify::errors(&found).cloned().collect();
-            self.diagnostics.extend(found);
-            if !errs.is_empty() {
-                return Err(SimError::Verify(errs));
-            }
-        }
-        // Build the reconfiguration plan.
-        let mut plan = ReconfigPlan::from_link_change(&self.prev_links, &epoch.links);
-        for (t, setup) in &epoch.setups {
-            plan.add_tile(
-                *t,
-                TileReconfig {
-                    program: setup.program.as_ref().map(|p| encode_program(p)),
-                    data_patches: setup.data_patches.clone(),
-                },
-            );
-        }
-        let reconfig_ns = plan.total_ns(&self.cost);
-        let stall_cycles = self.cost.stall_cycles(reconfig_ns);
-        let epoch_idx = self.epochs_run;
-        let start = self.sim.now;
-        self.emit(Event::EpochBegin {
-            epoch: epoch_idx,
-            name: epoch.name.clone(),
-            at: start,
-        });
-        self.emit(Event::Reconfig {
-            epoch: epoch_idx,
-            at: start,
-            breakdown: plan.breakdown(),
-            reconfig_ns,
-            stall_cycles,
-            stalled_tiles: plan.stalled_tiles(),
-        });
-
-        // Apply the rewrites, stalling only the touched tiles (overlap!).
-        for (t, setup) in &epoch.setups {
-            if let Some(prog) = &setup.program {
-                self.sim.load_program(*t, &encode_program(prog))?;
-            }
-            for patch in &setup.data_patches {
-                self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
-            }
-        }
-        for t in plan.stalled_tiles() {
-            self.sim.stall_tile(t, stall_cycles);
-        }
-        self.sim.set_links(epoch.links.clone())?;
-        self.prev_links = epoch.links.clone();
-
-        let stats_before = self.sim.stats.clone();
-        let cycles = self.sim.run_until_quiesced(epoch.budget)?;
-        self.finish_epoch(epoch_idx, &epoch.name, &stats_before);
-        let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
-        let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: epoch.name.clone(),
-            compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
-            reconfig_ns,
-            links_changed: plan.changed_links,
-            words_copied: sent_after - sent_before,
-        })
+        self.run_switched_epoch(epoch, self.epochs_run, None)
     }
 
     /// Runs an epoch whose reconfiguration arrives as a serialized partial
@@ -410,21 +348,8 @@ impl EpochRunner {
         for t in plan.stalled_tiles() {
             self.sim.stall_tile(t, stall_cycles);
         }
-        self.sim.set_links(links.clone())?;
-        self.prev_links = links;
-
-        let stats_before = self.sim.stats.clone();
-        let cycles = self.sim.run_until_quiesced(budget)?;
-        self.finish_epoch(epoch_idx, name, &stats_before);
-        let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
-        let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: name.to_string(),
-            compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
-            reconfig_ns,
-            links_changed: plan.changed_links,
-            words_copied: sent_after - sent_before,
-        })
+        let switch = (reconfig_ns, stall_cycles, plan.changed_links);
+        self.run_switched(epoch_idx, name, links, budget, switch)
     }
 
     /// Runs a whole schedule.
@@ -491,7 +416,7 @@ impl EpochRunner {
     pub fn run_hoisted_schedule(
         &mut self,
         epochs: &[Epoch],
-        plan: &cgra_lint::HoistPlan,
+        plan: &HoistPlan,
     ) -> Result<RunReport, SimError> {
         if self.sim.verify != VerifyMode::Off {
             let specs: Vec<EpochSpec> = epochs.iter().map(epoch_spec).collect();
@@ -501,74 +426,25 @@ impl EpochRunner {
                 self.diagnostics.extend(refused);
                 return Err(SimError::Verify(errs));
             }
-            if self.checker.epochs_seen() == 0 {
-                let lint = cgra_lint::lint_schedule(
-                    self.sim.mesh,
-                    &specs,
-                    &cgra_lint::LintLevels::default(),
-                    &self.cost,
-                );
-                let errs: Vec<Diagnostic> = cgra_verify::errors(&lint.diags).cloned().collect();
-                self.diagnostics.extend(lint.diags);
-                if !errs.is_empty() {
-                    return Err(SimError::Verify(errs));
-                }
-            }
         }
+        self.cold_lint_gate(epochs)?;
         let mut shadow = ShadowConfig::new(self.sim.mesh.tiles(), plan.shadow_depth.max(1));
         let mut report = RunReport::default();
         for (j, e) in epochs.iter().enumerate() {
             report
                 .epochs
-                .push(self.run_epoch_hoisted(e, j, plan, &mut shadow)?);
-            // Payloads whose last donor window is inside epoch `j` are
-            // fully streamed by its end: stage them now.
-            for h in plan.hoists.iter() {
-                if h.claims.iter().map(|c| c.epoch).max() != Some(j) {
-                    continue;
-                }
-                let Some((tile, setup)) = epochs.get(h.target).and_then(|t| t.setups.get(h.slot))
-                else {
-                    continue; // verify_hoists already vouched; unreachable
-                };
-                let rc = TileReconfig {
-                    program: setup.program.as_ref().map(|p| encode_program(p)),
-                    data_patches: setup.data_patches.clone(),
-                };
-                shadow
-                    .stage(*tile, h.target, rc)
-                    .map_err(|e| SimError::Bitstream(format!("shadow stage: {e}")))?;
-                let at = self.sim.now;
-                let pending = shadow.pending(*tile);
-                self.emit(Event::ShadowPrefetch {
-                    epoch: j,
-                    at,
-                    tile: *tile,
-                    target: h.target,
-                    payload_ns: h.payload_ns,
-                    pending,
-                });
-            }
+                .push(self.run_switched_epoch(e, j, Some((plan, &mut shadow)))?);
+            self.stage_prefetches(epochs, j, plan, &mut shadow)?;
         }
         Ok(report)
     }
 
-    /// One epoch of a hoisted run: hoisted slots commit from the shadow
-    /// plane (zero foreground ICAP time), the rest stream through the
-    /// foreground as usual, and *every* touched tile stalls for the
-    /// reduced foreground switch time — keeping all re-armed tiles
-    /// cycle-aligned, which is what makes the replay bit-exact.
-    fn run_epoch_hoisted(
-        &mut self,
-        epoch: &Epoch,
-        idx: usize,
-        plan: &cgra_lint::HoistPlan,
-        shadow: &mut ShadowConfig,
-    ) -> Result<EpochReport, SimError> {
+    /// The per-epoch verifier gate: under any verify mode other than
+    /// [`VerifyMode::Off`] the epoch is checked against the
+    /// initialized-memory state threaded through every epoch this runner
+    /// has executed; error findings abort before anything is applied.
+    pub(crate) fn gate_epoch(&mut self, epoch: &Epoch) -> Result<(), SimError> {
         if self.sim.verify != VerifyMode::Off {
-            // The checker sees the *original* epoch: a commit is the same
-            // write at the same point, so legality and the threaded
-            // may-init state are those of the unhoisted schedule.
             let found = self.checker.check_epoch(&epoch_spec(epoch));
             let errs: Vec<Diagnostic> = cgra_verify::errors(&found).cloned().collect();
             self.diagnostics.extend(found);
@@ -576,44 +452,94 @@ impl EpochRunner {
                 return Err(SimError::Verify(errs));
             }
         }
-        // Foreground plan: the link delta plus the slots that were not
+        Ok(())
+    }
+
+    /// One whole-array epoch of a plain (`hoist` = `None`) or hoisted run:
+    /// gate, switch, run to quiescence, close. `idx` is the epoch's index
+    /// in its schedule, which the hoisting plan is keyed by.
+    fn run_switched_epoch(
+        &mut self,
+        epoch: &Epoch,
+        idx: usize,
+        hoist: Option<(&HoistPlan, &mut ShadowConfig)>,
+    ) -> Result<EpochReport, SimError> {
+        // Under a plan the checker still sees the *original* epoch: a
+        // commit is the same write at the same point, so legality and the
+        // threaded may-init state are those of the unhoisted schedule.
+        self.gate_epoch(epoch)?;
+        let epoch_idx = self.epochs_run;
+        self.emit(Event::EpochBegin {
+            epoch: epoch_idx,
+            name: epoch.name.clone(),
+            at: self.sim.now,
+        });
+        let prev = self.prev_links.clone();
+        let switch = self.switch_region(epoch, idx, &prev, hoist)?;
+        self.run_switched(
+            epoch_idx,
+            &epoch.name,
+            epoch.links.clone(),
+            epoch.budget,
+            switch,
+        )
+    }
+
+    /// Switches one region into `epoch` (index `idx` of its schedule)
+    /// from the region's previous links `prev`: emits the `Reconfig`,
+    /// commits the slots `hoist` prefetched from the shadow plane (zero
+    /// foreground ICAP time) and streams the rest through the
+    /// foreground, then stalls *every* touched tile for the foreground
+    /// switch time — keeping all re-armed tiles cycle-aligned, which is
+    /// what makes a hoisted replay bit-exact. The links themselves are
+    /// left to the caller (a composed run overlays several regions).
+    /// Returns the switch's `(reconfig_ns, stall_cycles, links_changed)`.
+    pub(crate) fn switch_region(
+        &mut self,
+        epoch: &Epoch,
+        idx: usize,
+        prev: &LinkConfig,
+        mut hoist: Option<(&HoistPlan, &mut ShadowConfig)>,
+    ) -> Result<(f64, u64, usize), SimError> {
+        // Foreground plan: the link delta plus the slots that are not
         // hoisted. The full plan still names every touched tile — they
-        // all stall through the (shorter) switch.
-        let mut fg = ReconfigPlan::from_link_change(&self.prev_links, &epoch.links);
-        let mut full = ReconfigPlan::from_link_change(&self.prev_links, &epoch.links);
+        // all stall through the switch.
+        let mut fg = ReconfigPlan::from_link_change(prev, &epoch.links);
+        let mut full = fg.clone();
+        // Per slot: whether it commits from the shadow plane, and the
+        // image it loads otherwise (each program is encoded once).
+        let mut slots = Vec::with_capacity(epoch.setups.len());
         for (slot, (t, setup)) in epoch.setups.iter().enumerate() {
             let rc = TileReconfig {
                 program: setup.program.as_ref().map(|p| encode_program(p)),
                 data_patches: setup.data_patches.clone(),
             };
-            full.add_tile(*t, rc.clone());
-            if !plan.is_hoisted(idx, slot) {
-                fg.add_tile(*t, rc);
+            let hoisted = hoist.as_ref().is_some_and(|(p, _)| p.is_hoisted(idx, slot));
+            if hoisted {
+                slots.push((true, None));
+            } else {
+                slots.push((false, rc.program.clone()));
+                fg.add_tile(*t, rc.clone());
             }
+            full.add_tile(*t, rc);
         }
         let reconfig_ns = fg.total_ns(&self.cost);
         let stall_cycles = self.cost.stall_cycles(reconfig_ns);
         let epoch_idx = self.epochs_run;
         let start = self.sim.now;
-        self.emit(Event::EpochBegin {
-            epoch: epoch_idx,
-            name: epoch.name.clone(),
-            at: start,
-        });
+        let stalled = full.stalled_tiles();
         self.emit(Event::Reconfig {
             epoch: epoch_idx,
             at: start,
             breakdown: fg.breakdown(),
             reconfig_ns,
             stall_cycles,
-            stalled_tiles: full.stalled_tiles(),
+            stalled_tiles: stalled.clone(),
         });
 
-        // Apply the switch: commits swap in from the shadow plane, the
-        // rest streams through the foreground.
-        for (slot, (t, setup)) in epoch.setups.iter().enumerate() {
-            if plan.is_hoisted(idx, slot) {
-                let Some(rc) = shadow.commit(*t, idx) else {
+        for ((t, setup), (hoisted, img)) in epoch.setups.iter().zip(slots) {
+            if hoisted {
+                let Some(rc) = hoist.as_mut().and_then(|(_, sh)| sh.commit(*t, idx)) else {
                     return Err(SimError::Bitstream(format!(
                         "shadow commit: tile {t} has no payload staged for epoch {idx}"
                     )));
@@ -633,32 +559,96 @@ impl EpochRunner {
                     payload_ns,
                 });
             } else {
-                if let Some(prog) = &setup.program {
-                    self.sim.load_program(*t, &encode_program(prog))?;
+                if let Some(img) = img {
+                    self.sim.load_program(*t, &img)?;
                 }
                 for patch in &setup.data_patches {
                     self.sim.tiles[*t].dmem.load(patch.base, &patch.words)?;
                 }
             }
         }
-        for t in full.stalled_tiles() {
+        for t in stalled {
             self.sim.stall_tile(t, stall_cycles);
         }
-        self.sim.set_links(epoch.links.clone())?;
-        self.prev_links = epoch.links.clone();
+        Ok((reconfig_ns, stall_cycles, fg.changed_links))
+    }
 
+    /// Stages the payloads of `plan` whose last donor window lies inside
+    /// epoch `j` of `epochs`: they are fully streamed by its end.
+    pub(crate) fn stage_prefetches(
+        &mut self,
+        epochs: &[Epoch],
+        j: usize,
+        plan: &HoistPlan,
+        shadow: &mut ShadowConfig,
+    ) -> Result<(), SimError> {
+        for h in plan.hoists.iter() {
+            if h.claims.iter().map(|c| c.epoch).max() != Some(j) {
+                continue;
+            }
+            let Some((tile, setup)) = epochs.get(h.target).and_then(|t| t.setups.get(h.slot))
+            else {
+                continue; // verify_hoists already vouched; unreachable
+            };
+            let rc = TileReconfig {
+                program: setup.program.as_ref().map(|p| encode_program(p)),
+                data_patches: setup.data_patches.clone(),
+            };
+            shadow
+                .stage(*tile, h.target, rc)
+                .map_err(|e| SimError::Bitstream(format!("shadow stage: {e}")))?;
+            let at = self.sim.now;
+            let pending = shadow.pending(*tile);
+            self.emit(Event::ShadowPrefetch {
+                epoch: j,
+                at,
+                tile: *tile,
+                target: h.target,
+                payload_ns: h.payload_ns,
+                pending,
+            });
+        }
+        Ok(())
+    }
+
+    /// The post-switch tail of a whole-array epoch: applies `links`, runs
+    /// the array to quiescence within `budget` and closes the epoch.
+    fn run_switched(
+        &mut self,
+        epoch_idx: usize,
+        name: &str,
+        links: LinkConfig,
+        budget: u64,
+        switch: (f64, u64, usize),
+    ) -> Result<EpochReport, SimError> {
+        self.sim.set_links(links.clone())?;
+        self.prev_links = links;
         let stats_before = self.sim.stats.clone();
-        let cycles = self.sim.run_until_quiesced(epoch.budget)?;
-        self.finish_epoch(epoch_idx, &epoch.name, &stats_before);
+        let cycles = self.sim.run_until_quiesced(budget)?;
+        Ok(self.close_epoch(epoch_idx, name, &stats_before, cycles, switch))
+    }
+
+    /// Closes an executed epoch ([`EpochRunner::finish_epoch`]) and
+    /// returns its Eq. 1 report: `cycles` since the switch, less the
+    /// stall head, is the compute term.
+    pub(crate) fn close_epoch(
+        &mut self,
+        epoch_idx: usize,
+        name: &str,
+        stats_before: &[TileStats],
+        cycles: u64,
+        (reconfig_ns, stall_cycles, links_changed): (f64, u64, usize),
+    ) -> EpochReport {
+        self.finish_epoch(epoch_idx, name, stats_before);
         let sent_after: u64 = self.sim.stats.iter().map(|s| s.words_sent).sum();
         let sent_before: u64 = stats_before.iter().map(|s| s.words_sent).sum();
-        Ok(EpochReport {
-            name: epoch.name.clone(),
+        EpochReport {
+            name: name.to_string(),
             compute_ns: self.cost.exec_ns(cycles.saturating_sub(stall_cycles)),
             reconfig_ns,
-            links_changed: fg.changed_links,
+            links_changed,
             words_copied: sent_after - sent_before,
-        })
+        }
     }
 }
 

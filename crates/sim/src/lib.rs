@@ -9,7 +9,7 @@
 //! * [`active`] — the event-driven core: executes whole schedules under
 //!   a re-verified `cgra-verify` activity certificate, skipping
 //!   provably-inactive tiles, pre-decoding programs once per image, and
-//!   stepping independence classes in parallel — bit-exact with the
+//!   stepping only the certified tiles, in place — bit-exact with the
 //!   serial engine, with automatic serial fallback on a refused
 //!   certificate,
 //! * [`trace`] — per-tile activity traces with ASCII Gantt rendering,

@@ -25,7 +25,8 @@
 //! pins any series whose id contains the substring (last match wins).
 //! Exit status 0 when every series is inside its band; 1 on any
 //! regression, missing series, or unreadable document; 2 on usage
-//! errors.
+//! errors, which include a `--tol` substring that matches no baseline
+//! series (its band would pin nothing).
 
 use remorph::telemetry::json::{self, Json};
 
@@ -276,6 +277,26 @@ fn diff_docs(file: &str, base: &Json, cur: &Json, opts: &Options) -> (usize, Vec
     (checked, bad)
 }
 
+/// The numeric series ids of one baseline document, named as
+/// [`diff_docs`] names them.
+fn series_ids(file: &str, doc: &Json) -> Vec<String> {
+    let mut rows = Vec::new();
+    flatten("", "", doc, &mut rows);
+    rows.into_iter()
+        .filter(|(_, _, leaf)| matches!(leaf, Leaf::Num(_)))
+        .map(|(path, _, _)| format!("{file}:{path}"))
+        .collect()
+}
+
+/// The `--tol` substrings that match none of `ids`.
+fn unmatched_tols<'a>(opts: &'a Options, ids: &[String]) -> Vec<&'a str> {
+    opts.overrides
+        .iter()
+        .map(|(pat, _)| pat.as_str())
+        .filter(|pat| !ids.iter().any(|id| id.contains(pat)))
+        .collect()
+}
+
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     json::parse(&text).map_err(|e| format!("'{path}' is not valid JSON: {e}"))
@@ -333,16 +354,25 @@ fn main() {
     };
     let mut checked = 0usize;
     let mut bad = Vec::new();
+    let mut ids = Vec::new();
     for (base_path, cur_path, tag) in &pairs {
         let docs = load(base_path).and_then(|b| load(cur_path).map(|c| (b, c)));
         match docs {
             Ok((base, cur)) => {
+                ids.extend(series_ids(tag, &base));
                 let (n, mut b) = diff_docs(tag, &base, &cur, &opts);
                 checked += n;
                 bad.append(&mut b);
             }
             Err(e) => bad.push(e),
         }
+    }
+    let unmatched = unmatched_tols(&opts, &ids);
+    if !unmatched.is_empty() {
+        for pat in unmatched {
+            eprintln!("--tol '{pat}' matches no baseline series");
+        }
+        usage();
     }
     for b in &bad {
         eprintln!("REGRESSION: {b}");
@@ -468,6 +498,33 @@ mod tests {
         assert_eq!(bad.len(), 2);
         assert!(bad[0].contains("missing"), "{bad:?}");
         assert!(bad[1].contains("true -> false"), "{bad:?}");
+    }
+
+    /// A `--tol` substring must name at least one baseline series; the
+    /// ones that name none are reported (and `main` exits 2 on them).
+    #[test]
+    fn tol_matching_no_series_is_reported() {
+        let mut o = opts();
+        for pat in [
+            "sim:schedules[fft-1024].serial_ns",
+            "serve:turnaround",
+            "sim:",
+        ] {
+            o.overrides.push((pat.into(), 0.5));
+        }
+        let base = json::parse(
+            r#"{"schedules": [{"name": "fft-1024", "serial_ns": 1.0}], "cold": {"turnaround_p50_host_ns": 2}}"#,
+        )
+        .unwrap();
+        let ids = [series_ids("sim", &base), series_ids("serve", &base)].concat();
+        // `serve:turnaround` is not a substring of `serve:cold.turnaround_p50_host_ns`.
+        assert_eq!(unmatched_tols(&o, &ids), vec!["serve:turnaround"]);
+        o.overrides.pop();
+        o.overrides.pop();
+        assert!(unmatched_tols(&o, &ids).is_empty());
+        // Text leaves are not series.
+        let names = series_ids("sim", &json::parse(r#"{"name": "fft-1024"}"#).unwrap());
+        assert!(names.is_empty());
     }
 
     /// The committed baselines must self-diff clean — this is exactly

@@ -1,12 +1,17 @@
 //! Golden telemetry: the serial interpreter's observable behaviour on
-//! every example schedule and on the three-kernel composed pack, pinned
-//! against `tests/golden/telemetry.txt`.
+//! every example schedule, plain and under its hoisting plan, and on
+//! the three-kernel composed pack, pinned against
+//! `tests/golden/telemetry.txt`.
 //!
 //! Each run is strictly verified with a `Recorder` attached, and its
 //! rendering pins the event count, per (tile, state) segment count and
 //! summed length, the link-transfer count, the final cycle, the
-//! per-tile `TileStats` and the Eq. 1 totals. Any change to how the
-//! engine steps tiles must leave every one of these identical.
+//! per-tile `TileStats`, the Eq. 1 totals, and an ordered digest of
+//! every recorded event other than `Segment` and `LinkTransfer` (epoch
+//! brackets, reconfigurations, shadow prefetches and commits, per-tile
+//! summaries and attributions, field for field). Any change to how the
+//! engine steps tiles or switches configurations must leave every one
+//! of these identical.
 //!
 //! On a mismatch the test prints the full rendering of the run; a
 //! deliberate behaviour change replaces that run's section in the
@@ -15,8 +20,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use remorph::explore::{build_example_schedule, compose_examples};
+use remorph::explore::{
+    build_example_schedule, compose_examples, hoist_schedule, EXAMPLE_SCHEDULES,
+};
 use remorph::fabric::{CostModel, Mesh};
+use remorph::lint::HoistPlan;
 use remorph::sim::{ArraySim, EpochRunner, Recorder, RunReport, VerifyMode};
 use remorph::telemetry::{Event, SegState};
 
@@ -50,7 +58,16 @@ fn render_engine(out: &mut String, runner: &mut EpochRunner, rec: &Recorder) {
     // (tile, state) -> (segment count, summed length)
     let mut segs: BTreeMap<(usize, &'static str), (u64, u64)> = BTreeMap::new();
     let mut transfers = 0u64;
+    // FNV-1a over the ordered `Debug` renderings of the summary events.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut summary = 0u64;
     for e in &events {
+        if !matches!(e, Event::Segment { .. } | Event::LinkTransfer { .. }) {
+            summary += 1;
+            for b in format!("{e:?}\n").bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
         match e {
             Event::Segment {
                 tile,
@@ -72,6 +89,7 @@ fn render_engine(out: &mut String, runner: &mut EpochRunner, rec: &Recorder) {
     }
     writeln!(out, "events {}", events.len()).unwrap();
     writeln!(out, "link_transfers {transfers}").unwrap();
+    writeln!(out, "summary_events {summary} digest {digest:016x}").unwrap();
     writeln!(out, "now {}", runner.sim.now).unwrap();
     for (t, st) in runner.sim.stats.iter().enumerate() {
         let seg = |state| segs.get(&(t, state)).copied().unwrap_or_default();
@@ -95,6 +113,22 @@ fn render_serial(name: &str) -> String {
     let (mut runner, rec) = strict_runner(mesh, &cost);
     let rep = runner.run_schedule(&epochs).expect("example runs");
     let mut out = String::new();
+    eq1_line(&mut out, "eq1", &rep);
+    render_engine(&mut out, &mut runner, &rec);
+    out
+}
+
+/// `name` under `plan`; `None` takes `hoist_schedule`'s plan.
+fn render_hoisted(name: &str, plan: Option<HoistPlan>) -> String {
+    let cost = CostModel::default();
+    let (mesh, epochs) = build_example_schedule(name).expect("known example");
+    let plan = plan.unwrap_or_else(|| hoist_schedule(mesh, &epochs, &cost));
+    let (mut runner, rec) = strict_runner(mesh, &cost);
+    let rep = runner
+        .run_hoisted_schedule(&epochs, &plan)
+        .expect("hoisted example runs");
+    let mut out = String::new();
+    writeln!(out, "hoists {}", plan.hoists.len()).unwrap();
     eq1_line(&mut out, "eq1", &rep);
     render_engine(&mut out, &mut runner, &rec);
     out
@@ -163,6 +197,25 @@ fn jpeg_serial_matches_golden() {
 #[test]
 fn jpeg_stream_serial_matches_golden() {
     check("serial jpeg-stream", render_serial("jpeg-stream"));
+}
+
+#[test]
+fn hoisted_examples_match_golden() {
+    for name in EXAMPLE_SCHEDULES {
+        check(&format!("hoisted {name}"), render_hoisted(name, None));
+    }
+}
+
+/// An empty plan hoists nothing, so the hoisted runner must render
+/// exactly what the plain runner does (past the plan's own header).
+#[test]
+fn empty_hoist_plan_renders_as_the_plain_run() {
+    for name in EXAMPLE_SCHEDULES {
+        let hoisted = render_hoisted(name, Some(HoistPlan::default()));
+        let body = hoisted.strip_prefix("hoists 0\n").expect("empty plan");
+        assert_eq!(body, render_serial(name), "{name}: empty plan diverged");
+        check(&format!("serial {name}"), body.to_string());
+    }
 }
 
 #[test]

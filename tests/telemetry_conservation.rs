@@ -98,7 +98,7 @@ fn run_recorded_event_driven(name: &str) -> (EpochRunner, Vec<Event>) {
     let mut runner = EpochRunner::new(sim, CostModel::default());
     let mut cache = ProgramCache::new();
     runner
-        .run_schedule_event_driven(&epochs, &mut cache, &EventOptions { jobs: 1 })
+        .run_schedule_event_driven(&epochs, &mut cache, &EventOptions::default())
         .expect("event-driven schedule runs");
     runner.sim.detach_sink();
     (runner, recorder.events())
